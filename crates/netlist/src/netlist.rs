@@ -313,22 +313,39 @@ impl Netlist {
         self.kahn().1
     }
 
+    /// The cells `cell` depends on in timing order: the driver of every
+    /// input pin's net, except a flip-flop's D pin.
+    fn timing_drivers<'a>(&'a self, cell: &'a Cell) -> impl Iterator<Item = CellId> + 'a {
+        cell.inputs
+            .iter()
+            .enumerate()
+            .filter(|&(pin, _)| cell.role != CellRole::Sequential || pin == PinIndex::FF_CK.index())
+            .filter_map(|(_, net)| self.net((*net)?).driver)
+    }
+
     /// One Kahn pass over the timing dependency graph: returns the topo
     /// order of schedulable cells and the ids still blocked at the end.
     fn kahn(&self) -> (Vec<CellId>, Vec<CellId>) {
         let n = self.cells.len();
+        // Dependents as CSR (count, prefix sum, fill), in cell then pin
+        // order: `dependents[start[d]..start[d + 1]]` are driver `d`'s.
         let mut indegree = vec![0u32; n];
-        let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut start = vec![0u32; n + 1];
         for (id, cell) in self.cells() {
-            for (pin, net) in cell.inputs.iter().enumerate() {
-                if cell.role == CellRole::Sequential && pin != PinIndex::FF_CK.index() {
-                    continue; // D pin is not a dependency
-                }
-                let Some(net) = net else { continue };
-                if let Some(driver) = self.net(*net).driver {
-                    dependents[driver.index()].push(id.index() as u32);
-                    indegree[id.index()] += 1;
-                }
+            for driver in self.timing_drivers(cell) {
+                start[driver.index() + 1] += 1;
+                indegree[id.index()] += 1;
+            }
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start.clone();
+        let mut dependents = vec![0u32; start[n] as usize];
+        for (id, cell) in self.cells() {
+            for driver in self.timing_drivers(cell) {
+                dependents[fill[driver.index()] as usize] = id.index() as u32;
+                fill[driver.index()] += 1;
             }
         }
         let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
@@ -338,7 +355,7 @@ impl Netlist {
             let u = queue[head];
             head += 1;
             order.push(CellId::new(u));
-            for &v in &dependents[u] {
+            for &v in &dependents[start[u] as usize..start[u + 1] as usize] {
                 indegree[v as usize] -= 1;
                 if indegree[v as usize] == 0 {
                     queue.push(v as usize);

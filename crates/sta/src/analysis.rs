@@ -643,21 +643,14 @@ impl Sta {
     }
 
     fn propagate_arrivals_full(&mut self) {
-        for &c in &self.graph.topo().to_vec() {
-            self.evaluate(c);
+        for pos in 0..self.graph.topo().len() {
+            self.evaluate(self.graph.topo()[pos]);
         }
     }
 
     fn propagate_required_full(&mut self) {
-        for &c in &self
-            .graph
-            .topo()
-            .to_vec()
-            .into_iter()
-            .rev()
-            .collect::<Vec<_>>()
-        {
-            self.evaluate_required(c);
+        for pos in (0..self.graph.topo().len()).rev() {
+            self.evaluate_required(self.graph.topo()[pos]);
         }
     }
 
