@@ -467,6 +467,68 @@ fn concurrent_clients_get_admission_ordered_replies_per_session() {
 }
 
 #[test]
+fn interleaved_reads_and_writes_never_stall_a_single_read_worker() {
+    // Two connections share one session, and each pipelines twenty
+    // rounds of a read, a state-changing write and a later read, so
+    // their admissions interleave while the lane is busy. With one read
+    // worker, a read whose ticket is not yet published occupies the
+    // worker until the lane publishes it, while the lane waits for
+    // every earlier read to take its snapshot. This resolves only
+    // because a session's reads reach the pool queue in ticket order;
+    // a read queued behind a later one would leave the worker and the
+    // lane waiting on each other, and the replies would never come.
+    let (addr, handle) = start(ServerConfig {
+        read_workers: 1,
+        ..ServerConfig::default()
+    });
+    let config = || ClientConfig {
+        session: "shared".into(),
+        timeout_ms: 10_000,
+        ..ClientConfig::default()
+    };
+    let mut setup = Client::connect(&addr.to_string(), config()).expect("connect");
+    let loaded = setup
+        .call(&Command::Load {
+            spec: "small:5".into(),
+            period: None,
+        })
+        .expect("load");
+    assert!(loaded.ok, "{}", loaded.raw);
+
+    let clients: Vec<_> = (0..2)
+        .map(|k| {
+            let addr = addr.to_string();
+            std::thread::spawn(move || {
+                let mut c = Client::connect(&addr, config()).expect("connect");
+                let mut sent = Vec::new();
+                for round in 0..20 {
+                    let write = Command::Commit {
+                        cell: format!("g_1_{k}_0"),
+                        to: if round % 2 == 0 { "up" } else { "down" }.into(),
+                        full: false,
+                    };
+                    for cmd in [Command::Wns, write, Command::Wns] {
+                        sent.push(c.send(&cmd, None).expect("send"));
+                    }
+                }
+                for expected in sent {
+                    let resp = c.recv().expect("reply before the timeout");
+                    assert!(resp.ok, "{}", resp.raw);
+                    assert_eq!(resp.id, Some(expected));
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().expect("client thread");
+    }
+
+    let bye = setup.call(&Command::Shutdown).expect("shutdown");
+    assert!(bye.ok, "{}", bye.raw);
+    handle.join().expect("clean exit");
+}
+
+#[test]
 fn lint_is_read_only_and_close_session_evicts_state() {
     // `lint` is a read command: it is served from the published
     // snapshot, never mutates the design, and reports the collected
